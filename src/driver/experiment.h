@@ -10,9 +10,6 @@
 // (HTTP/1.1 pipelining head-of-line blocking), and timestamps every
 // request for the Telemetry sink. One Run per Experiment instance: a
 // second Run would reuse stale lane/counter state and dies loudly instead.
-//
-// The old single-server, throughput-only entry point survives as
-// iolhttp::LoadDriver, a thin wrapper over this engine.
 
 #ifndef SRC_DRIVER_EXPERIMENT_H_
 #define SRC_DRIVER_EXPERIMENT_H_
@@ -126,8 +123,8 @@ struct ExperimentResult {
   double seconds = 0;
   double megabits_per_sec = 0;
   // Machine-wide cache hit rate over the WHOLE run, warmup included —
-  // deliberately the old DriverResult semantics (the trace figures' hit
-  // columns report the machine's cache behavior, cold start and all).
+  // deliberately so: the trace figures' hit columns report the machine's
+  // cache behavior, cold start and all.
   double cache_hit_rate = 0;
   // Fraction of counted requests whose body came from the cache — the
   // same measurement window as `latency`; use this when correlating hit

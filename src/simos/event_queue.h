@@ -6,29 +6,17 @@
 // orders those completions in virtual time.
 //
 // The engine is allocation-free in steady state: continuations are
-// InlineCallbacks (fixed inline storage, no heap), the scheduler structures
-// order lightweight POD keys over a pooled slot array so dispatched events
-// are *moved* out rather than copied, and multi-stage continuations ride in
-// pooled nodes (ResourceChain, and per-subsystem pools in net/fs/httpd).
+// InlineCallbacks (fixed inline storage, no heap), the scheduler orders
+// lightweight POD keys in a 4-ary heap over a pooled slot array so
+// dispatched events are *moved* out rather than copied, and multi-stage
+// continuations ride in pooled nodes (ResourceChain, and per-subsystem
+// pools in net/fs/httpd).
 //
-// Two scheduler implementations share the slot pool and the exact
-// (when, seq) dispatch contract:
-//
-//  * kCalendar (default): a bucketed calendar queue (R. Brown, CACM '88).
-//    Days are a power-of-two width auto-tuned from observed inter-event
-//    gaps; each bucket is a sorted FIFO of pooled nodes with an O(1)
-//    append fast path (monotone and same-instant schedules); the bucket
-//    array lazily doubles/halves as the population drifts. Amortized O(1)
-//    schedule and dispatch for the stationary-arrival workloads every
-//    figure runs.
-//  * kHeap: the 4-ary POD heap, kept as the reference implementation
-//    behind a knob (env IOLITE_EVENT_QUEUE=heap, the IOLITE_HEAP_SCHEDULER
-//    build option, or EventQueue::set_default_impl). O(log n) per event.
-//
-// Both dispatch in exactly (when, seq) order — seq is unique, so the order
-// is a total order independent of scheduler internals. The golden
-// determinism tests pin this; tests/scheduler_test.cc drives randomized
-// schedule/cancel streams through both and asserts identical sequences.
+// Events dispatch in exactly (when, seq) order — seq is unique, so the
+// order is a total order independent of heap shape. The golden determinism
+// tests pin this; tests/scheduler_test.cc replays randomized
+// schedule/cancel streams against a reference model and asserts identical
+// sequences.
 
 #ifndef SRC_SIMOS_EVENT_QUEUE_H_
 #define SRC_SIMOS_EVENT_QUEUE_H_
@@ -36,8 +24,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -50,39 +36,18 @@ namespace iolsim {
 // simulations are deterministic.
 class EventQueue {
  public:
-  enum class Impl { kCalendar, kHeap };
-
   // Handle for Cancel: packs the callback slot and its generation, so a
   // stale handle (the event already dispatched or cancelled) is rejected.
   using EventId = uint64_t;
 
-  // The process-wide default scheduler. Starts as kCalendar (kHeap when
-  // built with IOLITE_HEAP_SCHEDULER), overridable by the environment
-  // (IOLITE_EVENT_QUEUE=heap|calendar) and at runtime by set_default_impl
-  // (read once per EventQueue construction; not thread-safe against
-  // concurrent construction — flip it between runs, from one thread).
-  static Impl default_impl() { return DefaultImplSlot(); }
-  static void set_default_impl(Impl impl) { DefaultImplSlot() = impl; }
-
   // `dispatched_counter`, when given, is incremented once per dispatched
   // event (SimContext points it at SimStats::events_dispatched).
-  explicit EventQueue(VirtualClock* clock, uint64_t* dispatched_counter = nullptr,
-                      Impl impl = default_impl())
+  explicit EventQueue(VirtualClock* clock, uint64_t* dispatched_counter = nullptr)
       : clock_(clock),
-        dispatched_(dispatched_counter != nullptr ? dispatched_counter : &own_dispatched_),
-        impl_(impl) {
-    if (impl_ == Impl::kCalendar) {
-      cal_head_.assign(kMinBuckets, kNil);
-      cal_tail_.assign(kMinBuckets, kNil);
-      cal_mask_ = kMinBuckets - 1;
-      cal_top_ = SimTime{1} << cal_shift_;
-    }
-  }
+        dispatched_(dispatched_counter != nullptr ? dispatched_counter : &own_dispatched_) {}
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  Impl impl() const { return impl_; }
 
   // Schedules `fn` to run at absolute time `when` (clamped to now). The
   // returned id is valid until the event dispatches (or is cancelled) and
@@ -101,13 +66,8 @@ class EventQueue {
       slots_.emplace_back();
       slots_[slot].fn = std::move(fn);
     }
-    uint64_t seq = next_seq_++;
-    if (impl_ == Impl::kHeap) {
-      heap_.push_back(Event{when, seq, slot});
-      SiftUp(heap_.size() - 1);
-    } else {
-      CalInsert(when, seq, slot);
-    }
+    heap_.push_back(Event{when, next_seq_++, slot});
+    SiftUp(heap_.size() - 1);
     ++live_;
     return MakeId(slot, slots_[slot].gen);
   }
@@ -149,9 +109,9 @@ class EventQueue {
   // cancelled keys it surfaces along the way.
   bool PeekWhen(SimTime* when) {
     while (live_ > 0) {
-      Event e = PeekMinKey();
+      Event e = heap_[0];
       if (slots_[e.slot].cancelled) {
-        PopMinKey();
+        PopMin();
         ReleaseCancelled(e.slot);
         continue;
       }
@@ -168,7 +128,7 @@ class EventQueue {
     if (!PeekWhen(&when)) {
       return false;
     }
-    Event ev = PopMinKey();
+    Event ev = PopMin();
     clock_->AdvanceTo(ev.when);
     ++*dispatched_;
     --live_;
@@ -204,8 +164,8 @@ class EventQueue {
   }
 
  private:
-  // Both schedulers order lightweight POD keys; the continuations
-  // themselves sit in a slot pool and never move while queued.
+  // The heap orders lightweight POD keys; the continuations themselves sit
+  // in a slot pool and never move while queued.
   struct Event {
     SimTime when;
     uint64_t seq;
@@ -220,28 +180,6 @@ class EventQueue {
     uint32_t gen = 0;
     bool cancelled = false;
   };
-
-  static constexpr uint32_t kNil = UINT32_MAX;
-
-  static Impl& DefaultImplSlot() {
-    static Impl impl = [] {
-#ifdef IOLITE_HEAP_SCHEDULER
-      Impl v = Impl::kHeap;
-#else
-      Impl v = Impl::kCalendar;
-#endif
-      const char* env = std::getenv("IOLITE_EVENT_QUEUE");
-      if (env != nullptr) {
-        if (std::strcmp(env, "heap") == 0) {
-          v = Impl::kHeap;
-        } else if (std::strcmp(env, "calendar") == 0) {
-          v = Impl::kCalendar;
-        }
-      }
-      return v;
-    }();
-    return impl;
-  }
 
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) << 32) | gen;
@@ -259,54 +197,8 @@ class EventQueue {
     free_slots_.push_back(slot);
   }
 
-  Event PeekMinKey() {
-    if (impl_ == Impl::kHeap) {
-      return heap_[0];
-    }
-    CalFindMin();
-    const CalNode& n = cal_nodes_[cal_head_[cal_bucket_]];
-    return Event{n.when, n.seq, n.slot};
-  }
-
-  Event PopMinKey() {
-    if (impl_ == Impl::kHeap) {
-      Event ev = heap_[0];
-      Event last = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        SiftDownFromRoot(last);
-      }
-      return ev;
-    }
-    CalFindMin();
-    uint32_t idx = cal_head_[cal_bucket_];
-    CalNode& n = cal_nodes_[idx];
-    Event ev{n.when, n.seq, n.slot};
-    cal_head_[cal_bucket_] = n.next;
-    if (n.next == kNil) {
-      cal_tail_[cal_bucket_] = kNil;
-    }
-    n.next = cal_free_;
-    cal_free_ = idx;
-    --cal_count_;
-    // Day-width tuning input: the gap between successive dispatch instants
-    // is exactly the stationary inter-event spacing the day width should
-    // match. (Resizes consume the running average; see CalResize.)
-    SimTime gap = ev.when - cal_last_when_;
-    cal_last_when_ = ev.when;
-    cal_gap_sum_ += gap;
-    ++cal_gap_n_;
-    if (cal_count_ < (cal_mask_ + 1) / 4 && cal_mask_ + 1 > kMinBuckets) {
-      CalResize(cal_count_);
-    }
-    return ev;
-  }
-
-  // --- 4-ary heap (reference implementation) --------------------------------
-
   // "a dispatches after b". (when, seq) is a total order — seq is unique —
-  // so the dispatch order is exactly the old priority_queue's, independent
-  // of heap shape or arity.
+  // so the dispatch order is independent of heap shape or arity.
   static bool After(const Event& a, const Event& b) {
     if (a.when != b.when) {
       return a.when > b.when;
@@ -315,6 +207,17 @@ class EventQueue {
   }
 
   static constexpr size_t kArity = 4;
+
+  // Removes and returns the root (precondition: the heap is non-empty).
+  Event PopMin() {
+    Event ev = heap_[0];
+    Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      SiftDownFromRoot(last);
+    }
+    return ev;
+  }
 
   void SiftUp(size_t i) {
     Event e = heap_[i];
@@ -354,172 +257,6 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  // --- Calendar queue -------------------------------------------------------
-  //
-  // Keys live in pooled, index-linked nodes; bucket b holds every pending
-  // event whose day index (when >> cal_shift_) lands on b modulo the bucket
-  // count. Within a bucket the list is sorted by (when, seq), so the head
-  // of the "current day" bucket is the global minimum — and because two
-  // events with equal `when` always share a bucket, cross-bucket
-  // comparisons never need the seq tie-break.
-  //
-  // The dispatch cursor (cal_bucket_, cal_top_) walks day by day. Events
-  // are never scheduled before the last dispatched instant (ScheduleAt
-  // clamps to now, and now never precedes the last pop), so the cursor
-  // only ever moves forward; a full lap without a hit (sparse far-future
-  // events) falls back to a direct scan of all bucket heads.
-
-  struct CalNode {
-    SimTime when;
-    uint64_t seq;
-    uint32_t slot;
-    uint32_t next;
-  };
-
-  static constexpr size_t kMinBuckets = 64;
-
-  // "a sorts before b" within a bucket.
-  bool CalBefore(const CalNode& a, SimTime when, uint64_t seq) const {
-    if (a.when != when) {
-      return a.when < when;
-    }
-    return a.seq < seq;
-  }
-
-  void CalInsert(SimTime when, uint64_t seq, uint32_t slot) {
-    uint32_t idx;
-    if (cal_free_ != kNil) {
-      idx = cal_free_;
-      cal_free_ = cal_nodes_[idx].next;
-    } else {
-      idx = static_cast<uint32_t>(cal_nodes_.size());
-      cal_nodes_.emplace_back();
-    }
-    CalNode& n = cal_nodes_[idx];
-    n.when = when;
-    n.seq = seq;
-    n.slot = slot;
-    n.next = kNil;
-    if (cal_count_ == 0 || when < cal_top_ - (SimTime{1} << cal_shift_)) {
-      // Re-anchor the cursor: either the queue sat empty (the cursor is
-      // stale), or this event lands in a day the cursor already passed —
-      // possible because peeks advance the cursor without advancing the
-      // clock, and schedules only clamp to the clock. Moving the cursor
-      // *backward* is always safe; the forward walk just rescans.
-      cal_bucket_ = static_cast<size_t>(when >> cal_shift_) & cal_mask_;
-      cal_top_ = ((when >> cal_shift_) + 1) << cal_shift_;
-    }
-    CalLink(idx);
-    ++cal_count_;
-    if (cal_count_ > (cal_mask_ + 1) * 2) {
-      CalResize(cal_count_);
-    }
-  }
-
-  // Links node `idx` into its bucket's sorted list. O(1) for the dominant
-  // patterns: append (monotone inserts, and same-instant bursts — seq grows
-  // monotonically, so equal-when events always append behind their peers).
-  void CalLink(uint32_t idx) {
-    CalNode& n = cal_nodes_[idx];
-    size_t b = static_cast<size_t>(n.when >> cal_shift_) & cal_mask_;
-    uint32_t tail = cal_tail_[b];
-    if (tail == kNil) {
-      cal_head_[b] = idx;
-      cal_tail_[b] = idx;
-      return;
-    }
-    if (CalBefore(cal_nodes_[tail], n.when, n.seq)) {
-      cal_nodes_[tail].next = idx;
-      cal_tail_[b] = idx;
-      return;
-    }
-    uint32_t prev = kNil;
-    uint32_t cur = cal_head_[b];
-    while (cur != kNil && CalBefore(cal_nodes_[cur], n.when, n.seq)) {
-      prev = cur;
-      cur = cal_nodes_[cur].next;
-    }
-    n.next = cur;
-    if (prev == kNil) {
-      cal_head_[b] = idx;
-    } else {
-      cal_nodes_[prev].next = idx;
-    }
-  }
-
-  // Advances the cursor until the head of cal_bucket_ is the global
-  // minimum (precondition: cal_count_ > 0; callers guard via live_).
-  void CalFindMin() {
-    assert(cal_count_ > 0);
-    size_t scanned = 0;
-    while (true) {
-      uint32_t h = cal_head_[cal_bucket_];
-      if (h != kNil && cal_nodes_[h].when < cal_top_) {
-        return;
-      }
-      cal_bucket_ = (cal_bucket_ + 1) & cal_mask_;
-      cal_top_ += SimTime{1} << cal_shift_;
-      if (++scanned > cal_mask_) {
-        // A whole year without a hit: every pending event is at least one
-        // lap ahead. Jump straight to the earliest bucket head (ties across
-        // buckets are impossible — equal `when` shares a bucket).
-        size_t best = 0;
-        SimTime best_when = INT64_MAX;
-        for (size_t b = 0; b <= cal_mask_; ++b) {
-          uint32_t head = cal_head_[b];
-          if (head != kNil && cal_nodes_[head].when < best_when) {
-            best_when = cal_nodes_[head].when;
-            best = b;
-          }
-        }
-        cal_bucket_ = best;
-        cal_top_ = ((best_when >> cal_shift_) + 1) << cal_shift_;
-        return;
-      }
-    }
-  }
-
-  // Rebuilds the bucket array for roughly `target` events and re-tunes the
-  // day width to the observed mean inter-dispatch gap. "Lazy": runs only
-  // at the 2x-grow / 4x-shrink thresholds, so each event pays amortized
-  // O(1) relinking.
-  void CalResize(size_t target) {
-    size_t buckets = kMinBuckets;
-    while (buckets < target) {
-      buckets <<= 1;
-    }
-    if (cal_gap_n_ >= 16) {
-      SimTime avg = cal_gap_sum_ / static_cast<SimTime>(cal_gap_n_);
-      // Day width = the next power of two at or above twice the mean gap:
-      // ~2 events per day per lap keeps both the insert scan and the
-      // cursor walk O(1) for stationary arrivals.
-      int shift = 0;
-      while (shift < 40 && (SimTime{1} << shift) < avg * 2) {
-        ++shift;
-      }
-      cal_shift_ = shift;
-      // Age the sample so the tuning tracks drift instead of history.
-      cal_gap_sum_ /= 2;
-      cal_gap_n_ /= 2;
-    }
-    cal_mask_ = buckets - 1;
-    std::vector<uint32_t> old_head = std::move(cal_head_);
-    cal_head_.assign(buckets, kNil);
-    cal_tail_.assign(buckets, kNil);
-    for (uint32_t h : old_head) {
-      while (h != kNil) {
-        uint32_t next = cal_nodes_[h].next;
-        cal_nodes_[h].next = kNil;
-        CalLink(h);
-        h = next;
-      }
-    }
-    // Re-anchor the cursor at the last dispatched instant — every pending
-    // event is at or after it, so the forward walk stays correct.
-    cal_bucket_ = static_cast<size_t>(cal_last_when_ >> cal_shift_) & cal_mask_;
-    cal_top_ = ((cal_last_when_ >> cal_shift_) + 1) << cal_shift_;
-  }
-
   VirtualClock* clock_;
   uint64_t* dispatched_;
   uint64_t own_dispatched_ = 0;
@@ -527,24 +264,7 @@ class EventQueue {
   size_t live_ = 0;  // Pending minus cancelled-but-not-yet-surfaced.
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  Impl impl_;
-
-  // kHeap state.
-  std::vector<Event> heap_;
-
-  // kCalendar state.
-  std::vector<CalNode> cal_nodes_;
-  uint32_t cal_free_ = kNil;
-  std::vector<uint32_t> cal_head_;
-  std::vector<uint32_t> cal_tail_;
-  size_t cal_count_ = 0;  // Queued keys, cancelled included.
-  size_t cal_mask_ = 0;
-  int cal_shift_ = 13;  // Day width 8192 ns to start; auto-tuned at resizes.
-  size_t cal_bucket_ = 0;
-  SimTime cal_top_ = 0;
-  SimTime cal_last_when_ = 0;
-  SimTime cal_gap_sum_ = 0;
-  uint64_t cal_gap_n_ = 0;
+  std::vector<Event> heap_;  // 4-ary min-heap by (when, seq).
 };
 
 class Resource;
